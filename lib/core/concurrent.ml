@@ -109,7 +109,62 @@ let new_slot () =
 (* Below this ready-set size the wave's handoff dwarfs the work. *)
 let par_threshold = 32
 
+(* Below this queue length a round forms no wait group and adds no
+   member to one: a group can only save the turns of other queued
+   messages, and on short queues its upkeep costs more than it saves
+   (docs/PERFORMANCE.md, "Wait groups"). *)
+let group_threshold = 16
+
 module Prof = Profkit.Profile
+
+(* A wait group (see "Wait groups" below): the messages waiting behind
+   one cached core cluster, as a priority-ordered list threaded through
+   the arena by [Message.wg_next].  Records live in a pool and are
+   recycled through a free list, so forming and dissolving groups
+   allocates nothing. *)
+type group = {
+  mutable head : int;  (* id of the highest-priority member, or -1 when free *)
+  mutable tail : int;  (* id of the lowest-priority member *)
+  mutable size : int;  (* members, head included *)
+  mutable pauses : int;  (* pause ticks charged to every non-head member *)
+  mutable bypasses : int;  (* bypass ticks, likewise *)
+  mutable round : int;  (* last round the group has had its turn *)
+  mutable bit : int;  (* that round's verdict: 1 = bypass, 0 = pause *)
+  mutable watch : int;  (* round whose verdict still rests on the key, or -1 *)
+  mutable promoted : bool;  (* the head took over this round, not yet queued *)
+  mutable slot : int;  (* the key's slot in [state.owner] *)
+  mutable next : int;  (* next free group *)
+  (* The key: the members' common shape cache. *)
+  mutable c0 : int;
+  mutable c1 : int;
+  mutable c2 : int;
+  mutable anchor : int;
+  mutable v0 : int;
+  mutable v1 : int;
+  mutable v2 : int;
+}
+
+let new_group () =
+  {
+    head = -1;
+    tail = -1;
+    size = 0;
+    pauses = 0;
+    bypasses = 0;
+    round = -1;
+    bit = 0;
+    watch = -1;
+    promoted = false;
+    slot = 0;
+    next = -1;
+    c0 = T.nil;
+    c1 = T.nil;
+    c2 = T.nil;
+    anchor = T.nil;
+    v0 = 0;
+    v1 = 0;
+    v2 = 0;
+  }
 
 type state = {
   config : Config.t;
@@ -144,6 +199,30 @@ type state = {
   claims : int array;
   mutable live : int;  (* undelivered messages, data + update *)
   mutable live_data : int;  (* undelivered data messages in flight *)
+  mutable first_turn : bool;
+      (* [check] on a fault-free run: the round's first turn is still to
+         come (it belongs to the top-priority message, never blocked) *)
+  (* Wait groups (untraced, fault-free, domains = 1); see below. *)
+  grouping : bool;
+  mutable groups : group array;  (* the pool *)
+  mutable free_group : int;  (* free list through [next], or -1 *)
+  mutable owner : int array;
+      (* per hash slot of a key: the group holding it, or {!lone} of
+         the message last seen waiting on it alone, or -1; a power of
+         two, at least 2n, allocated on the run's first long queue *)
+  mutable lone_round : int array;
+      (* per slot: the round its lone waiter was seen *)
+  mutable decided : int array;  (* groups that watch their key this round *)
+  mutable ndecided : int;
+  mutable promotions : int array;  (* groups whose head took over this round *)
+  mutable npromotions : int;
+  mutable release : M.t array;  (* released members, in priority order *)
+  mutable rel_pos : int;  (* next release entry to walk *)
+  mutable rel_len : int;
+  mutable walker : int;
+      (* id of the message taking the current turn; with [cur_birth],
+         its priority *)
+  dummy : M.t;
   (* Parallel plan wave (domains > 1); see the design note above. *)
   team_sink : Obskit.Sink.t;  (* per-member wave telemetry *)
   mutable team : Simkit.Team.t option;
@@ -160,13 +239,21 @@ type state = {
 let prof st phase =
   match st.profile with None -> () | Some p -> Prof.enter p phase
 
-let prof_conflict st =
-  match st.profile with None -> () | Some p -> Prof.conflict p
-
 let prof_shape_hit st =
   match st.profile with None -> () | Some p -> Prof.shape_hit p
 
+(* An invariant audited under [check_invariants] failed (cold path). *)
+let violated fmt = Printf.ksprintf (fun s -> failwith ("Concurrent: " ^ s)) fmt
+
 (* lint: hot *)
+(* Charge [k] lost conflicts of one kind to a message: [bit] is the
+   winner's rotate bit (1 = it rotated, a bypass; 0 = it routed, a
+   pause).  [k = -1] gives back a charge a wait group made in bulk. *)
+let charge st (msg : M.t) ~bit k =
+  if bit = 1 then msg.M.bypasses <- msg.M.bypasses + k
+  else msg.M.pauses <- msg.M.pauses + k;
+  match st.profile with None -> () | Some p -> Prof.conflicts_add p k
+
 let finish st (msg : M.t) =
   msg.M.delivered <- true;
   msg.M.end_time <- st.cur_round;
@@ -198,8 +285,16 @@ let spawner st ~origin ~first_increment =
   else Simkit.Pqueue.stage st.queue u
 (* lint: hot-end *)
 
+(* Key slots for a grouped run: a power of two, at least 2n. *)
+let key_slots t =
+  let slots = ref 1 in
+  while !slots < 2 * T.n t do
+    slots := 2 * !slots
+  done;
+  !slots
+
 let create config ~window ~sink ~profile ~prof_sink ~team_sink ~faults ~check
-    t trace =
+    ~grouping t trace =
   validate t trace;
   if window < 1 then invalid_arg "Concurrent.run: window must be >= 1";
   (* Exactly one update per data message, so the arena never grows
@@ -230,6 +325,21 @@ let create config ~window ~sink ~profile ~prof_sink ~team_sink ~faults ~check
       claims = Array.make (T.n t) (-2);
       live = 0;
       live_data = 0;
+      first_turn = false;
+      grouping;
+      groups = [||];
+      free_group = -1;
+      owner = [||];
+      lone_round = [||];
+      decided = Array.make 16 0;
+      ndecided = 0;
+      promotions = Array.make 16 0;
+      npromotions = 0;
+      release = Array.make 16 dummy;
+      rel_pos = 0;
+      rel_len = 0;
+      walker = -1;
+      dummy;
       team_sink;
       team = None;
       slots = [||];
@@ -267,6 +377,185 @@ let inject st ~round =
   done
 (* lint: hot-end *)
 
+(* ------------------------------------------------------------------
+   Wait groups (untraced, fault-free, [domains = 1]).
+
+   Under contention almost every turn is a paused message re-checking
+   its cached shape against this round's claims (docs/PERFORMANCE.md).
+   Messages whose shape caches are valid and equal — same core
+   [(c0, c1, c2)], anchor and core versions — form a wait group, and
+   the round walk visits only each group's head (its highest-priority
+   member) plus the messages in no group.  A group forms when a second
+   message blocks on a key behind a first, and later ones join it
+   below the head ({!attach}), in rounds whose queue holds at least
+   {!group_threshold} messages.  Groups and lone waiters are found
+   through a table of key slots, one key per slot.
+
+   Why that is exact.  Within a round claims only accumulate.  When the
+   head's turn ends with a core node claimed and the key's versions
+   unchanged, every other member, visited at its own position later in
+   the round, would hit a claimed core node off its still-valid cache
+   and lose with the verdict {!shape_hit} gives — which can only change
+   if a node of the key (core or anchor) is claimed, or a core version
+   moves, in between.  So the group is *decided*: each member is
+   charged one tick of that verdict through the group's counters — a
+   member's own [pauses]/[bypasses] lag the ticks from its joining on
+   and catch up when it leaves or at finalize — and the key's nodes
+   are watched for the rest of the round.  A routing claim on a
+   pause-decided key cannot change the verdict (the first claimed core
+   node stays first, and the anchor can only join it as a pause);
+   any other claim on a watched node *releases* the members below the
+   claimer: they get this round's tick back and take real turns at
+   their own positions, through a small sorted release buffer merged
+   into the walk.  Version bumps need no watch of their own: a
+   rotation bumps only nodes it claims plus the transferred subtree
+   roots, and the key of a group holding a transferred root [b] also
+   holds [b]'s parent (the rotated node — a core path runs through it,
+   or it is the anchor above [b]), so the rotating claim is seen
+   first.  [check_invariants] audits all of this at the end of every
+   round ({!check_groups}).  A head whose turn leaves no core node
+   claimed, or the key stale, releases all its members for real
+   turns. *)
+
+(* lint: hot *)
+let member st id = Arena.get st.arena id
+let prio_lt (a : M.t) (b : M.t) = M.priority_compare a b < 0
+
+(* Priority [(birth, id)] strictly above message [m]'s. *)
+let outranks ~birth ~id (m : M.t) =
+  birth < m.M.birth || (birth = m.M.birth && id < m.M.id)
+
+let key_matches (g : group) (m : M.t) =
+  g.c0 = m.M.shape_c0 && g.c1 = m.M.shape_c1 && g.c2 = m.M.shape_c2
+  && g.anchor = m.M.shape_anchor && g.v0 = m.M.shape_v0
+  && g.v1 = m.M.shape_v1
+  && (g.c2 = T.nil || g.v2 = m.M.shape_v2)
+
+let key_valid st (g : group) =
+  T.version st.t g.c0 = g.v0
+  && T.version st.t g.c1 = g.v1
+  && (g.c2 = T.nil || T.version st.t g.c2 = g.v2)
+
+(* The slot of a message's cached key.  Versions stay out of the hash:
+   a group whose key went stale gives its slot up at its head's next
+   turn. *)
+let key_slot st (m : M.t) =
+  let h =
+    (((m.M.shape_c0 * 31) + m.M.shape_c1) * 31 + m.M.shape_c2) * 31
+    + m.M.shape_anchor
+  in
+  h land (Array.length st.owner - 1)
+
+(* A lone waiter's id, encoded in [owner] below -1. *)
+let lone (m : M.t) = -2 - m.M.id
+let lone_id o = -2 - o
+
+(* A member's own counters lag the group's ticks while it waits: it
+   joins with the ticks subtracted and leaves with them added back. *)
+let lag (g : group) (m : M.t) =
+  m.M.pauses <- m.M.pauses - g.pauses;
+  m.M.bypasses <- m.M.bypasses - g.bypasses
+
+let catch_up (g : group) (m : M.t) =
+  m.M.pauses <- m.M.pauses + g.pauses;
+  m.M.bypasses <- m.M.bypasses + g.bypasses
+
+(* Double the pool (only ever called with every pooled group in use). *)
+let grow_groups st =
+  let old = st.groups in
+  let n = Array.length old in
+  let cap = max 16 (2 * n) in
+  (* lint: allow no-alloc -- amortized pool growth, not per turn *)
+  st.groups <- Array.init cap (fun i -> if i < n then old.(i) else new_group ());
+  for gi = cap - 1 downto n do
+    st.groups.(gi).next <- st.free_group;
+    st.free_group <- gi
+  done
+
+let free_group st gi =
+  let g = st.groups.(gi) in
+  st.owner.(g.slot) <- -1;
+  g.head <- -1;
+  g.size <- 0;
+  g.watch <- -1;
+  g.promoted <- false;
+  g.next <- st.free_group;
+  st.free_group <- gi
+
+let push_release st (m : M.t) =
+  if st.rel_len = Array.length st.release then begin
+    let old = st.release in
+    (* lint: allow no-alloc -- amortized buffer growth, not per turn *)
+    st.release <- Array.make (2 * Array.length old) st.dummy;
+    Array.blit old 0 st.release 0 st.rel_len
+  end;
+  let i = ref st.rel_len in
+  while !i > st.rel_pos && prio_lt m st.release.(!i - 1) do
+    st.release.(!i) <- st.release.(!i - 1);
+    decr i
+  done;
+  st.release.(!i) <- m;
+  st.rel_len <- st.rel_len + 1
+
+(* Release every member of priority below [(birth, id)] (the head too,
+   when it took over this round and has not had its turn): they take
+   real turns later this round, from the release buffer.  If the group
+   was decided this round, their tick is given back first (only
+   members present at the decision are ever released: later joiners
+   have had their turns, above [(birth, id)]). *)
+let release_below st gi ~round ~birth ~id =
+  let g = st.groups.(gi) in
+  let prev = ref (-1) and cur = ref g.head in
+  while !cur >= 0 && not (outranks ~birth ~id (member st !cur)) do
+    prev := !cur;
+    cur := (member st !cur).M.wg_next
+  done;
+  if !cur >= 0 then begin
+    if !prev >= 0 then begin
+      (member st !prev).M.wg_next <- -1;
+      g.tail <- !prev
+    end;
+    while !cur >= 0 do
+      let m = member st !cur in
+      cur := m.M.wg_next;
+      if m.M.id <> g.head then catch_up g m;
+      if g.round = round then begin
+        charge st m ~bit:g.bit (-1);
+        match st.profile with
+        | None -> ()
+        | Some p -> Prof.waits_skipped_add p (-1)
+      end;
+      m.M.wg_next <- M.no_group;
+      g.size <- g.size - 1;
+      push_release st m
+    done;
+    if g.size = 0 then free_group st gi
+  end
+
+let watches (g : group) v =
+  v <> T.nil && (g.c0 = v || g.c1 = v || g.c2 = v || g.anchor = v)
+
+(* The walker is about to claim plan [p]'s cluster while some groups
+   decided this round watch their keys.  A routing claim on a
+   pause-decided key leaves every later member's verdict a pause; any
+   other claim on a key may change it (or, rotating, bump a core
+   version), so it releases that group's members below the walker. *)
+let on_claim st ~round (p : Step.t) ~bit =
+  for i = 0 to st.ndecided - 1 do
+    let gi = st.decided.(i) in
+    let g = st.groups.(gi) in
+    if
+      g.watch = round
+      && bit lor g.bit = 1
+      && (watches g p.Step.cluster0 || watches g p.Step.cluster1
+         || watches g p.Step.cluster2 || watches g p.Step.cluster3)
+    then begin
+      g.watch <- -1;
+      release_below st gi ~round ~birth:st.cur_birth ~id:st.walker
+    end
+  done
+(* lint: hot-end *)
+
 (* Conflict probe, walking the plan's nil-padded cluster fields (nil
    is tail padding only).  Encoded as an int so the per-turn hot path
    allocates no option: -1 = free, 0 = loser of a routing step
@@ -293,8 +582,22 @@ let cluster_conflict st ~round (p : Step.t) =
           st.claims.(v3) land 1
         else conflict_free
 
+(* Def. 6 under [check_invariants]: the clusters claimed in one round
+   are disjoint, so a claim never lands on a node claimed this round. *)
+let check_unclaimed st ~round v =
+  if v <> T.nil && st.claims.(v) asr 1 = round then
+    violated "Def. 6 violated: node %d claimed twice in round %d" v round
+
 let claim st ~round (p : Step.t) =
-  let word = (round lsl 1) lor Bool.to_int p.Step.rotate in
+  let bit = Bool.to_int p.Step.rotate in
+  if st.check then begin
+    check_unclaimed st ~round p.Step.cluster0;
+    check_unclaimed st ~round p.Step.cluster1;
+    check_unclaimed st ~round p.Step.cluster2;
+    check_unclaimed st ~round p.Step.cluster3
+  end;
+  if st.ndecided > 0 then on_claim st ~round p ~bit;
+  let word = (round lsl 1) lor bit in
   let v0 = p.Step.cluster0 in
   if v0 <> T.nil then st.claims.(v0) <- word;
   let v1 = p.Step.cluster1 in
@@ -306,9 +609,7 @@ let claim st ~round (p : Step.t) =
 
 (* Record a lost conflict on the message (+ optional event). *)
 let record_conflict st ~round ~traced (msg : M.t) ~was_rotation =
-  if was_rotation then msg.M.bypasses <- msg.M.bypasses + 1
-  else msg.M.pauses <- msg.M.pauses + 1;
-  prof_conflict st;
+  charge st msg ~bit:(Bool.to_int was_rotation) 1;
   if traced then
     (* lint: allow no-alloc -- closure built only when tracing is on *)
     Obskit.Sink.record st.sink (fun () ->
@@ -428,16 +729,12 @@ let untraced_probe_turn st ~round (msg : M.t) =
     msg.M.shape_v1 <- T.version st.t c1;
     if c2 <> T.nil then msg.M.shape_v2 <- T.version st.t c2;
     let hit = shape_hit st ~round ~c0 ~c1 ~c2 ~anchor:p.Step.anchor in
-    if hit <> T.nil then begin
+    if hit <> T.nil then
       (* The anchor joins the cluster (in front) only if the step
          rotates; with the anchor unclaimed — or claimed by the same
          kind of winner as the first core hit — the verdict is the
          same either way, so ΔΦ is irrelevant. *)
-      if st.claims.(hit) land 1 = 1 then
-        msg.M.bypasses <- msg.M.bypasses + 1
-      else msg.M.pauses <- msg.M.pauses + 1;
-      prof_conflict st
-    end
+      charge st msg ~bit:(st.claims.(hit) land 1) 1
     else begin
       Step.resolve_into st.plan st.config st.t;
       resolved_turn st ~round ~traced:false msg st.plan
@@ -463,23 +760,278 @@ let untraced_turn st ~round (msg : M.t) =
       shape_hit st ~round ~c0 ~c1:msg.M.shape_c1 ~c2:msg.M.shape_c2
         ~anchor:msg.M.shape_anchor
     in
-    if hit <> T.nil then begin
-      if st.claims.(hit) land 1 = 1 then
-        msg.M.bypasses <- msg.M.bypasses + 1
-      else msg.M.pauses <- msg.M.pauses + 1;
-      prof_conflict st
-    end
+    if hit <> T.nil then charge st msg ~bit:(st.claims.(hit) land 1) 1
     else begin
       (* Cluster free (or only the anchor contended): the turn may
          act, so take the full probe + resolve path. *)
-        Protocol.begin_turn_probe st.plan st.t ~spawn:st.spawn msg |> ignore;
+      Protocol.begin_turn_probe st.plan st.t ~spawn:st.spawn msg |> ignore;
       Step.resolve_into st.plan st.config st.t;
       resolved_turn st ~round ~traced:false msg st.plan
     end
   end
   else untraced_probe_turn st ~round msg
 
+(* The grouped round walk.  Decide group [gi] for this round from the
+   claims as they stand: every member but the head is charged one tick
+   of [bit], and the key is watched until the round ends. *)
+let decide st gi ~round ~bit =
+  let g = st.groups.(gi) in
+  g.round <- round;
+  g.bit <- bit;
+  let waiting = g.size - 1 in
+  if waiting > 0 then begin
+    if bit = 1 then g.bypasses <- g.bypasses + 1
+    else g.pauses <- g.pauses + 1;
+    (match st.profile with
+    | None -> ()
+    | Some p ->
+        Prof.conflicts_add p waiting;
+        Prof.waits_skipped_add p waiting);
+    g.watch <- round;
+    if st.ndecided = Array.length st.decided then begin
+      let old = st.decided in
+      (* lint: allow no-alloc -- amortized list growth, not per turn *)
+      st.decided <- Array.make (2 * Array.length old) 0;
+      Array.blit old 0 st.decided 0 st.ndecided
+    end;
+    st.decided.(st.ndecided) <- gi;
+    st.ndecided <- st.ndecided + 1
+  end
+
+(* The verdict bit a member would get off the group's cached key now,
+   or -1 when the cache is stale or no core node is claimed yet. *)
+let group_verdict st ~round (g : group) =
+  if key_valid st g then
+    let hit =
+      shape_hit st ~round ~c0:g.c0 ~c1:g.c1 ~c2:g.c2 ~anchor:g.anchor
+    in
+    if hit <> T.nil then st.claims.(hit) land 1 else -1
+  else -1
+
+(* [m], blocked with a valid shape cache, founds a group of its key in
+   the free slot [slot], as its head. *)
+let create_group st ~round ~slot (m : M.t) =
+  if st.free_group < 0 then grow_groups st;
+  let gi = st.free_group in
+  let g = st.groups.(gi) in
+  st.free_group <- g.next;
+  st.owner.(slot) <- gi;
+  g.slot <- slot;
+  g.c0 <- m.M.shape_c0;
+  g.c1 <- m.M.shape_c1;
+  g.c2 <- m.M.shape_c2;
+  g.anchor <- m.M.shape_anchor;
+  g.v0 <- m.M.shape_v0;
+  g.v1 <- m.M.shape_v1;
+  g.v2 <- m.M.shape_v2;
+  g.head <- m.M.id;
+  g.tail <- m.M.id;
+  g.size <- 1;
+  g.pauses <- 0;
+  g.bypasses <- 0;
+  g.round <- round;
+  g.watch <- -1;
+  g.promoted <- false;
+  m.M.wg_next <- -1
+
+(* [m] joins below the head, at its priority position. *)
+let insert_member st gi (m : M.t) =
+  let g = st.groups.(gi) in
+  lag g m;
+  g.size <- g.size + 1;
+  let last = member st g.tail in
+  if prio_lt last m then begin
+    last.M.wg_next <- m.M.id;
+    m.M.wg_next <- -1;
+    g.tail <- m.M.id
+  end
+  else begin
+    let p = ref (member st g.head) in
+    while
+      !p.M.wg_next >= 0 && prio_lt (member st !p.M.wg_next) m
+    do
+      p := member st !p.M.wg_next
+    done;
+    m.M.wg_next <- !p.M.wg_next;
+    !p.M.wg_next <- m.M.id
+  end
+
+(* The head [x] leaves; the next member, blocked this round with the
+   group, becomes head and joins the queue when the round ends. *)
+let head_leaves st gi (x : M.t) =
+  let g = st.groups.(gi) in
+  let next = x.M.wg_next in
+  x.M.wg_next <- M.no_group;
+  g.size <- g.size - 1;
+  if next < 0 then free_group st gi
+  else begin
+    catch_up g (member st next);
+    g.head <- next;
+    if not g.promoted then begin
+      g.promoted <- true;
+      if st.npromotions = Array.length st.promotions then begin
+        let old = st.promotions in
+        (* lint: allow no-alloc -- amortized list growth, not per turn *)
+        st.promotions <- Array.make (2 * Array.length old) 0;
+        Array.blit old 0 st.promotions 0 st.npromotions
+      end;
+      st.promotions.(st.npromotions) <- gi;
+      st.npromotions <- st.npromotions + 1
+    end
+  end
+
+(* The group [x] heads: the one owning its key's slot (a head's shape
+   cache is its group's key until its next turn). *)
+let group_of_head st (x : M.t) = st.owner.(key_slot st x)
+
+(* Two messages' shape caches hold the same key. *)
+let same_key (a : M.t) (b : M.t) =
+  a.M.shape_c0 = b.M.shape_c0 && a.M.shape_c1 = b.M.shape_c1
+  && a.M.shape_c2 = b.M.shape_c2 && a.M.shape_anchor = b.M.shape_anchor
+  && a.M.shape_v0 = b.M.shape_v0 && a.M.shape_v1 = b.M.shape_v1
+  && (a.M.shape_c2 = T.nil || a.M.shape_v2 = b.M.shape_v2)
+
+(* The lone waiter [w], seen blocked earlier in this round, still waits
+   on [x]'s key and outranks it. *)
+let pairs st w (x : M.t) =
+  let h = member st w in
+  w <> x.M.id && (not h.M.delivered) && h.M.wg_next = M.no_group
+  && same_key h x && prio_lt h x
+
+(* After a real turn of an ungrouped message [x]: if it is blocked
+   with a valid shape cache, look at its key's slot.  A group of the
+   key whose head outranks [x] takes [x] in below the head.  A lone
+   waiter there that outranks [x] and still waits on the same key — it
+   was blocked on it earlier in this round — founds the key's group
+   with [x].  Otherwise [x] takes the slot as its lone waiter, unless a
+   group holds it.  A message waiting alone costs no group.  True when
+   [x] stays in the queue (as a head or ungrouped). *)
+let[@inline never] attach st ~round (x : M.t) =
+  if x.M.delivered then false
+  else if
+    x.M.shape_c0 = M.shape_none
+    || Simkit.Pqueue.length st.queue < group_threshold
+  then true
+  else begin
+    if Array.length st.owner = 0 then begin
+      (* lint: allow no-alloc -- once per run, on its first long queue *)
+      st.owner <- Array.make (key_slots st.t) (-1);
+      (* lint: allow no-alloc -- once per run, on its first long queue *)
+      st.lone_round <- Array.make (key_slots st.t) (-1)
+    end;
+    let slot = key_slot st x in
+    let o = st.owner.(slot) in
+    if o >= 0 then begin
+      let g = st.groups.(o) in
+      if key_matches g x && prio_lt (member st g.head) x then begin
+        insert_member st o x;
+        false
+      end
+      else true
+    end
+    else if o < -1 && st.lone_round.(slot) = round && pairs st (lone_id o) x
+    then begin
+      create_group st ~round ~slot (member st (lone_id o));
+      insert_member st st.owner.(slot) x;
+      false
+    end
+    else begin
+      st.owner.(slot) <- lone x;
+      st.lone_round.(slot) <- round;
+      true
+    end
+  end
+
+(* After the head's real turn: decide or release the other members,
+   then keep the head or hand the group on.  True when [x] stays in
+   the queue. *)
+let[@inline never] after_head st ~round gi (x : M.t) =
+  let g = st.groups.(gi) in
+  if g.size > 1 then begin
+    let bit = group_verdict st ~round g in
+    if bit >= 0 then decide st gi ~round ~bit
+    else release_below st gi ~round ~birth:x.M.birth ~id:x.M.id
+  end;
+  g.round <- round;
+  if x.M.delivered || not (key_matches g x) then begin
+    head_leaves st gi x;
+    attach st ~round x
+  end
+  else true
+
+(* Def. 7 under [check_invariants]: the round's first turn belongs to
+   the top-priority message, which no claim can block. *)
+let check_first_turn st (x : M.t) ~before =
+  if st.first_turn then begin
+    st.first_turn <- false;
+    if x.M.pauses + x.M.bypasses <> before then
+      violated "top-priority message %d blocked in round %d" x.M.id
+        st.cur_round
+  end
+
+(* A real turn of a head or an ungrouped message; true when it stays
+   in the queue (the queue holds heads and ungrouped messages).  The
+   group work after the turn stays out of line, so the walk keeps one
+   inlined copy of the turn. *)
+let grouped_turn st ~round (x : M.t) =
+  let gi = if x.M.wg_next = M.no_group then -1 else group_of_head st x in
+  st.walker <- x.M.id;
+  st.cur_birth <- x.M.birth;
+  let before = if st.check then x.M.pauses + x.M.bypasses else 0 in
+  untraced_turn st ~round x;
+  if st.check then check_first_turn st x ~before;
+  if gi >= 0 then after_head st ~round gi x
+  else (not x.M.delivered) && (x.M.shape_c0 = M.shape_none || attach st ~round x)
+
+let visit_queued st ~round (x : M.t) =
+  (not x.M.delivered) && grouped_turn st ~round x
+
+let walk_released st ~round (m : M.t) =
+  if grouped_turn st ~round m then Simkit.Pqueue.stage st.queue m
+
+(* Walk the release buffer up to (excluding) priority [x], or to its
+   end with [~all]. *)
+let drain_released st ~round ~all (x : M.t) =
+  while st.rel_pos < st.rel_len && (all || prio_lt st.release.(st.rel_pos) x) do
+    let m = st.release.(st.rel_pos) in
+    st.release.(st.rel_pos) <- st.dummy;
+    st.rel_pos <- st.rel_pos + 1;
+    walk_released st ~round m
+  done
+
 (* lint: hot-end *)
+
+(* [check_invariants] audit of the wait groups at the end of a round:
+   well-formed priority-ordered lists whose members share the key, a
+   queued head, and — for every group still watching its key — the
+   key's versions unchanged and the recorded verdict still the one the
+   end-of-round claims give (the exactness argument above). *)
+let check_groups st ~round =
+  let fail gi what = violated "wait group %d: %s (round %d)" gi what round in
+  Array.iteri
+    (fun gi (g : group) ->
+      if g.head >= 0 then begin
+        if g.promoted then fail gi "head left out of the queue";
+        if st.owner.(g.slot) <> gi then fail gi "slot not owned";
+        if g.slot <> key_slot st (member st g.head) then fail gi "wrong slot";
+        let count = ref 0 and prev = ref st.dummy and cur = ref g.head in
+        while !cur >= 0 do
+          let m = member st !cur in
+          if not (key_matches g m) then fail gi "member cache differs from key";
+          if !count > 0 && not (prio_lt !prev m) then fail gi "list out of order";
+          if m.M.delivered then fail gi "delivered member";
+          if m.M.wg_next < 0 && m.M.id <> g.tail then fail gi "wrong tail";
+          incr count;
+          prev := m;
+          cur := m.M.wg_next
+        done;
+        if !count <> g.size then fail gi "wrong size";
+        if g.watch = round then begin
+          if not (key_valid st g) then fail gi "key went stale unseen";
+          if group_verdict st ~round g <> g.bit then fail gi "verdict moved unseen"
+        end
+      end)
+    st.groups
 
 (* ------------------------------------------------------------------
    Fault-injected path (Faultkit).  Every turn of a run with a fault
@@ -862,12 +1414,7 @@ let commit_slot st ~round ~traced (slot : slot) (msg : M.t) =
           msg.M.shape_v1 <- T.version st.t c1;
           if c2 <> T.nil then msg.M.shape_v2 <- T.version st.t c2;
           let hit = shape_hit st ~round ~c0 ~c1 ~c2 ~anchor:slot.canchor in
-          if hit <> T.nil then begin
-            if st.claims.(hit) land 1 = 1 then
-              msg.M.bypasses <- msg.M.bypasses + 1
-            else msg.M.pauses <- msg.M.pauses + 1;
-            prof_conflict st
-          end
+          if hit <> T.nil then charge st msg ~bit:(st.claims.(hit) land 1) 1
           else resolved_turn st ~round ~traced:false msg slot.splan
         end
   end
@@ -879,13 +1426,39 @@ let seq_visit st ~round ~traced =
       if msg.M.delivered then false
       else begin
         st.cur_birth <- msg.M.birth;
+        let before = if st.check then msg.M.pauses + msg.M.bypasses else 0 in
         (match st.faults with
         | Some inj -> faulty_turn st inj ~round msg
         | None ->
             if traced then traced_turn st ~round msg
             else untraced_turn st ~round msg);
+        if st.check then check_first_turn st msg ~before;
         not msg.M.delivered
       end)
+
+(* The grouped round visit: the queue (group heads and ungrouped
+   messages) merged in priority order with the members released this
+   round. *)
+let grouped_visit st ~round =
+  st.ndecided <- 0;
+  st.npromotions <- 0;
+  (* lint: allow no-alloc -- one visitor closure per round, not per turn *)
+  Simkit.Pqueue.iter_filter st.queue (fun (x : M.t) ->
+      if st.rel_pos < st.rel_len then drain_released st ~round ~all:false x;
+      visit_queued st ~round x);
+  if st.rel_len > 0 then begin
+    drain_released st ~round ~all:true st.dummy;
+    st.rel_pos <- 0;
+    st.rel_len <- 0
+  end;
+  for i = 0 to st.npromotions - 1 do
+    let g = st.groups.(st.promotions.(i)) in
+    if g.promoted then begin
+      g.promoted <- false;
+      Simkit.Pqueue.stage st.queue (member st g.head)
+    end
+  done;
+  if st.check then check_groups st ~round
 
 let ensure_wave_capacity st count =
   if Array.length st.slots < count then begin
@@ -979,7 +1552,9 @@ let tick st round =
       (* The sequential visit plans, commits and delivers in one fused
          walk: it all lands in the Commit phase (see Profkit.Profile). *)
       prof st Prof.Commit;
-      seq_visit st ~round ~traced);
+      st.first_turn <- Option.is_none st.faults;
+      if not st.grouping then seq_visit st ~round ~traced
+      else if Simkit.Pqueue.length st.queue > 0 then grouped_visit st ~round);
   prof st Prof.Other;
   (* Φ is O(n) to compute, so it is sampled only on traced runs. *)
   if traced then
@@ -993,6 +1568,27 @@ let tick st round =
       if Obskit.Sink.enabled st.prof_sink then emit_phase_times st p ~round;
       Prof.round_commit p
 (* lint: hot-end *)
+
+(* Hand every waiting member its ticks and put it back in the queue
+   (heads are there already): the counters are exact again, and the
+   executor is left as if it had never grouped. *)
+let dissolve_groups st =
+  Array.iteri
+    (fun gi (g : group) ->
+      if g.head >= 0 then begin
+        let cur = ref g.head in
+        while !cur >= 0 do
+          let m = member st !cur in
+          cur := m.M.wg_next;
+          if m.M.id <> g.head then begin
+            catch_up g m;
+            Simkit.Pqueue.stage st.queue m
+          end;
+          m.M.wg_next <- M.no_group
+        done;
+        free_group st gi
+      end)
+    st.groups
 
 let shutdown st =
   match st.team with
@@ -1011,9 +1607,12 @@ let make ?(config = Config.default) ?window ?(sink = Obskit.Sink.null)
     | None -> None
     | Some plan -> Some (Faultkit.Injector.create plan ~n:(T.n t))
   in
+  let grouping =
+    domains = 1 && Option.is_none faults && not (Obskit.Sink.enabled sink)
+  in
   let st =
     create config ~window ~sink ~profile ~prof_sink ~team_sink ~faults:injector
-      ~check:check_invariants t trace
+      ~check:check_invariants ~grouping t trace
   in
   if domains > 1 then begin
     st.team <- Some (Simkit.Team.create ~members:domains ());
@@ -1046,9 +1645,32 @@ let make ?(config = Config.default) ?window ?(sink = Obskit.Sink.null)
           }
     in
     if check_invariants then Bstnet.Check.assert_ok (Bstnet.Check.structural st.t);
+    (* Waiting members' counters lag their groups' ticks. *)
+    dissolve_groups st;
     Run_stats.of_iter ~chaos ~config ~rounds (fun f -> Arena.iter st.arena f)
   in
   (st, sched, finalize)
+
+(* The first round from [round] on whose tick can do anything: with no
+   message live, the next arrival's.  Only a run that records nothing
+   per round (no profile, telemetry or fault plan) jumps there. *)
+let next_busy st round =
+  if st.live = 0 && st.next_inject < Array.length st.trace then
+    let birth, _, _ = st.trace.(st.next_inject) in
+    max round birth
+  else round
+
+let drive ?max_rounds st sched =
+  let busy_from =
+    if
+      Option.is_none st.profile && Option.is_none st.faults
+      && not (Obskit.Sink.enabled st.sink)
+    then Some (next_busy st)
+    else None
+  in
+  Fun.protect
+    ~finally:(fun () -> shutdown st)
+    (fun () -> Simkit.Engine.run_exn ?max_rounds ?busy_from sched)
 
 let scheduler ?config ?window ?sink ?profile ?prof_sink ?team_sink ?faults
     ?check_invariants ?domains t trace =
@@ -1064,12 +1686,7 @@ let run ?config ?window ?max_rounds ?sink ?profile ?prof_sink ?team_sink
     make ?config ?window ?sink ?profile ?prof_sink ?team_sink ?faults
       ?check_invariants ?domains t trace
   in
-  let rounds =
-    Fun.protect
-      ~finally:(fun () -> shutdown st)
-      (fun () -> Simkit.Engine.run_exn ?max_rounds sched)
-  in
-  finalize rounds
+  finalize (drive ?max_rounds st sched)
 
 let run_with_latencies ?config ?window ?max_rounds ?sink ?profile ?prof_sink
     ?team_sink ?faults ?check_invariants ?domains t trace =
@@ -1077,12 +1694,7 @@ let run_with_latencies ?config ?window ?max_rounds ?sink ?profile ?prof_sink
     make ?config ?window ?sink ?profile ?prof_sink ?team_sink ?faults
       ?check_invariants ?domains t trace
   in
-  let rounds =
-    Fun.protect
-      ~finally:(fun () -> shutdown st)
-      (fun () -> Simkit.Engine.run_exn ?max_rounds sched)
-  in
-  let stats = finalize rounds in
+  let stats = finalize (drive ?max_rounds st sched) in
   let count = ref 0 in
   Arena.iter st.arena (fun m ->
       if M.is_data m && m.M.delivered then incr count);

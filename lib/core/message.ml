@@ -12,6 +12,10 @@ type t = {
   mutable up_credit : int;
   mutable update_spawned : bool;
   mutable delivered : bool;
+  (* Wait-group link for the concurrent executor's grouped visit:
+     next member's id, -1 at the tail, no_group outside groups.  Next
+     to [delivered], which every turn reads too. *)
+  mutable wg_next : int;
   mutable end_time : int;
   mutable hops : int;
   mutable rotations : int;
@@ -36,6 +40,7 @@ type t = {
 }
 
 let shape_none = -2
+let no_group = -2
 
 let make ~id ~kind ~src ~dst ~birth =
   {
@@ -63,6 +68,7 @@ let make ~id ~kind ~src ~dst ~birth =
     shape_v0 = 0;
     shape_v1 = 0;
     shape_v2 = 0;
+    wg_next = no_group;
   }
 
 let reinit m ~kind ~src ~dst ~birth =
@@ -82,7 +88,8 @@ let reinit m ~kind ~src ~dst ~birth =
   m.pauses <- 0;
   m.bypasses <- 0;
   m.asleep_until <- 0;
-  m.shape_c0 <- shape_none
+  m.shape_c0 <- shape_none;
+  m.wg_next <- no_group
 
 let data ~id ~src ~dst ~birth = make ~id ~kind:Data ~src ~dst ~birth
 

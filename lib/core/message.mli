@@ -30,6 +30,16 @@ type t = {
       (** A message spawns at most one weight update, even if a bypass
           forces it to re-climb to a fresh LCA. *)
   mutable delivered : bool;
+  mutable wg_next : int;
+      (** Wait-group link owned by [Concurrent]'s grouped round walk
+          (docs/PERFORMANCE.md, "Wait groups"): the id of the next
+          member in the priority-ordered list of the group this message
+          waits in, [-1] at the list's tail, {!no_group} when the
+          message is in no group.  While a message waits behind its
+          group's head, [pauses] and [bypasses] hold its own counts
+          {e minus} the group's tick counters; the executor adds the
+          ticks back when the message leaves the group and when the run
+          is finalized. *)
   mutable end_time : int;
   mutable hops : int;  (** Forwarding operations performed (routing cost). *)
   mutable rotations : int;  (** Elementary rotations performed. *)
@@ -60,6 +70,10 @@ type t = {
 val shape_none : int
 (** Sentinel for [shape_c0]: no cached shape (distinct from [nil],
     which is legitimate tail padding in [shape_c1]/[shape_c2]). *)
+
+val no_group : int
+(** Sentinel for [wg_next]: the message waits in no group (distinct
+    from [-1], the tail of a group's list). *)
 
 val data : id:int -> src:int -> dst:int -> birth:int -> t
 val weight_update : id:int -> origin:int -> birth:int -> t

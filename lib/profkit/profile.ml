@@ -73,6 +73,7 @@ type t = {
   mutable deliver_slots : int;
   mutable shape_hits : int;
   mutable conflicts : int;
+  mutable waits_skipped : int;
   mutable waves : int;
   mutable wave_slots : int;
   mutable wave_members : int;
@@ -93,6 +94,7 @@ let create () =
     deliver_slots = 0;
     shape_hits = 0;
     conflicts = 0;
+    waits_skipped = 0;
     waves = 0;
     wave_slots = 0;
     wave_members = 0;
@@ -146,6 +148,8 @@ let seq_slot t = t.seq_slots <- t.seq_slots + 1
 let deliver_slot t = t.deliver_slots <- t.deliver_slots + 1
 let shape_hit t = t.shape_hits <- t.shape_hits + 1
 let conflict t = t.conflicts <- t.conflicts + 1
+let conflicts_add t k = t.conflicts <- t.conflicts + k
+let waits_skipped_add t k = t.waits_skipped <- t.waits_skipped + k
 
 let wave t ~members ~busiest ~slots =
   t.waves <- t.waves + 1;
@@ -174,6 +178,7 @@ let seq_slots t = t.seq_slots
 let deliver_slots t = t.deliver_slots
 let shape_hits t = t.shape_hits
 let conflicts t = t.conflicts
+let waits_skipped t = t.waits_skipped
 let waves t = t.waves
 let wave_slots t = t.wave_slots
 let wave_members t = t.wave_members
@@ -197,6 +202,7 @@ let counters t =
     ("deliver_slots", t.deliver_slots);
     ("shape_hits", t.shape_hits);
     ("claim_conflicts", t.conflicts);
+    ("waits_skipped", t.waits_skipped);
     ("waves", t.waves);
     ("wave_slots", t.wave_slots);
     ("wave_members", t.wave_members);

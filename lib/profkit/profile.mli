@@ -90,6 +90,17 @@ val shape_hit : t -> unit
 val conflict : t -> unit
 (** A pause or bypass caused by a cluster-claim conflict. *)
 
+val conflicts_add : t -> int -> unit
+(** [conflicts_add p k] — [k] conflicts at once: the waits a wait group
+    charges its members in bulk ([k < 0] retracts charges whose turns
+    were given back to the members, see {!waits_skipped_add}). *)
+
+val waits_skipped_add : t -> int -> unit
+(** [waits_skipped_add p k] — [k] paused turns decided for a whole wait
+    group from its head's turn instead of being visited one by one
+    ([k < 0] when a group releases members it had already counted, so
+    that they take real turns after all). *)
+
 val wave : t -> members:int -> busiest:int -> slots:int -> unit
 (** One completed plan wave: [members] team members planned [slots]
     slots in total, the busiest single member planning [busiest].
@@ -121,6 +132,7 @@ val seq_slots : t -> int
 val deliver_slots : t -> int
 val shape_hits : t -> int
 val conflicts : t -> int
+val waits_skipped : t -> int
 val waves : t -> int
 val wave_slots : t -> int
 val wave_members : t -> int

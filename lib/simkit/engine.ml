@@ -14,19 +14,22 @@ exception Budget_exhausted of string
 
 let default_budget = 100_000_000
 
-let run ?(max_rounds = default_budget) s =
+let run ?(max_rounds = default_budget) ?busy_from s =
   let rec go round =
     if s.is_done () then { rounds = round; completed = true }
     else if round >= max_rounds then { rounds = round; completed = false }
-    else begin
-      s.tick round;
-      go (round + 1)
-    end
+    else
+      let busy = match busy_from with None -> round | Some f -> f round in
+      if busy > round then go (min busy max_rounds)
+      else begin
+        s.tick round;
+        go (round + 1)
+      end
   in
   go 0
 
-let run_exn ?max_rounds s =
-  let o = run ?max_rounds s in
+let run_exn ?max_rounds ?busy_from s =
+  let o = run ?max_rounds ?busy_from s in
   if o.completed then o.rounds
   else begin
     Log.err (fun m ->

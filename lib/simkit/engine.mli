@@ -21,10 +21,16 @@ exception Budget_exhausted of string
 (** Raised by {!run_exn} when the round budget runs out — this always
     indicates a liveness bug in a scheduler, never a legitimate result. *)
 
-val run : ?max_rounds:int -> scheduler -> outcome
+val run : ?max_rounds:int -> ?busy_from:(int -> int) -> scheduler -> outcome
 (** Drive [scheduler] to completion.  [max_rounds] defaults to
-    100 million, far above any legitimate experiment in this repo. *)
+    100 million, far above any legitimate experiment in this repo.
 
-val run_exn : ?max_rounds:int -> scheduler -> int
+    [busy_from r], when given, is the first round from [r] on whose
+    [tick] can do anything: the engine jumps over the rounds before it
+    (never past the budget) instead of ticking them.  The scheduler
+    promises that those ticks would change nothing, so the outcome is
+    the same as without [busy_from]. *)
+
+val run_exn : ?max_rounds:int -> ?busy_from:(int -> int) -> scheduler -> int
 (** Like {!run} but returns the round count and raises
     {!Budget_exhausted} when the scheduler fails to terminate. *)

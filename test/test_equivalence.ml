@@ -359,6 +359,169 @@ let test_run_vs_run_with_latencies () =
   Alcotest.(check int)
     "one latency per data message" s1.Stats.messages (Array.length lats)
 
+(* ------------------------------------------------------------------
+   Wait groups.  The untraced fault-free walk at domains = 1 visits
+   only each wait group's head and charges the other members in bulk
+   (docs/PERFORMANCE.md, "Wait groups").  These cases run it in the
+   benchmark's regime — Poisson lambda = 0.05 births, which saturate
+   the tree so most messages wait — against the reference executor:
+   stats, latencies and final trees, with [check_invariants] auditing
+   Def. 6, the never-blocked top-priority message and the groups
+   themselves every round. *)
+
+let stamped ~family ~n ~m ~seed =
+  let trace = Workloads.Catalog.scaled family ~n ~m ~seed in
+  let rng = Simkit.Rng.create (seed + 0x5bd1) in
+  let trace = Workloads.Trace.with_poisson_births rng ~lambda:0.05 trace in
+  (trace.Workloads.Trace.n, Workloads.Trace.to_runs trace)
+
+let regime_traces =
+  [
+    ("pfabric", 144, 2500);
+    ("bursty", 256, 2500);
+    ("hpc", 1024, 2500);
+  ]
+
+let test_grouped_regime ~family ~n ~m ~window () =
+  let n, trace = stamped ~family ~n ~m ~seed:7 in
+  let window = match window with `One -> Some 1 | `Default -> None | `Four_n -> Some (4 * n) in
+  let ctx =
+    Printf.sprintf "grouped %s n=%d window=%s" family n
+      (match window with None -> "default" | Some w -> string_of_int w)
+  in
+  let ta = Build.balanced n and tb = Build.balanced n in
+  let profile = Profkit.Profile.create () in
+  let sa, la =
+    Conc.run_with_latencies ?window ~profile ~check_invariants:true ta trace
+  in
+  let sb, lb = Ref.run_with_latencies ?window tb trace in
+  check_stats ctx sa sb;
+  check_trees ctx ta tb;
+  Array.sort compare la;
+  Array.sort compare lb;
+  Alcotest.(check (array (float 0.0))) (ctx ^ ": sorted latencies") lb la;
+  Alcotest.(check int)
+    (ctx ^ ": conflicts = pauses + bypasses")
+    (sa.Stats.pauses + sa.Stats.bypasses)
+    (Profkit.Profile.conflicts profile);
+  (* With more than one message in flight the regime piles messages up
+     behind the same clusters: the groups must actually engage. *)
+  if window <> Some 1 then
+    Alcotest.(check bool) (ctx ^ ": waits skipped") true
+      (Profkit.Profile.waits_skipped profile > 0)
+
+(* Cut the grouped run off while groups still hold lazily charged
+   members: the finalizer must settle them. *)
+let test_grouped_truncated () =
+  let n, trace = stamped ~family:"pfabric" ~n:144 ~m:2500 ~seed:3 in
+  let ta = Build.balanced n and tb = Build.balanced n in
+  let profile = Profkit.Profile.create () in
+  let sched_a, fin_a =
+    Conc.scheduler ~profile ~check_invariants:true ta trace
+  in
+  let sched_b, fin_b = Ref.scheduler tb trace in
+  let rounds = 1500 in
+  for r = 0 to rounds - 1 do
+    sched_a.Simkit.Engine.tick r;
+    sched_b.Simkit.Engine.tick r
+  done;
+  Alcotest.(check bool) "messages still in flight" false
+    (sched_a.Simkit.Engine.is_done ());
+  Alcotest.(check bool) "groups engaged before the cut" true
+    (Profkit.Profile.waits_skipped profile > 0);
+  let sa = fin_a rounds in
+  check_stats "grouped truncated" sa (fin_b rounds);
+  check_trees "grouped truncated" ta tb;
+  Alcotest.(check int) "conflicts = pauses + bypasses after the cut"
+    (sa.Stats.pauses + sa.Stats.bypasses)
+    (Profkit.Profile.conflicts profile)
+
+(* Hand-built release (found by random search): on a 15-node tree,
+   sixteen requests born in rounds 0 and 1 keep the queue at the
+   length where groups form.  In round 11 a rotation claims a node of
+   the key of a group decided earlier in that round, and hands one of
+   the key's core nodes over as the transferred subtree root — bumping
+   its version without claiming it.  The claim must release the
+   members below the rotator for real turns off their stale caches;
+   charging them with the group diverges from the reference (a copy
+   with the release taken out does, and fails the group audit of
+   [check_invariants]). *)
+let test_grouped_release_on_rotation () =
+  let n = 15 in
+  let trace =
+    [|
+      (0, 10, 4); (0, 4, 10); (0, 2, 6); (0, 8, 4); (0, 14, 9); (0, 9, 4);
+      (0, 9, 5); (1, 7, 12); (1, 6, 8); (1, 9, 2); (1, 3, 6); (1, 14, 6);
+      (1, 4, 0); (1, 9, 4); (1, 1, 14); (1, 5, 7);
+    |]
+  in
+  let window = Array.length trace in
+  let ta = Build.balanced n and tb = Build.balanced n in
+  let profile = Profkit.Profile.create () in
+  let sa, la =
+    Conc.run_with_latencies ~window ~profile ~check_invariants:true ta trace
+  in
+  let sb, lb = Ref.run_with_latencies ~window tb trace in
+  check_stats "release on rotation" sa sb;
+  check_trees "release on rotation" ta tb;
+  Array.sort compare la;
+  Array.sort compare lb;
+  Alcotest.(check (array (float 0.0))) "release on rotation: latencies" lb la;
+  Alcotest.(check bool) "release on rotation: groups engaged" true
+    (Profkit.Profile.waits_skipped profile > 0)
+
+(* Counter decay between rounds changes weights under waiting groups;
+   the traced walk (no groups) is the oracle. *)
+let test_grouped_counter_reset () =
+  let n, trace = stamped ~family:"bursty" ~n:256 ~m:2500 ~seed:5 in
+  let run ?sink t =
+    Cbnet.Counter_reset.run_concurrent ?sink ~check_invariants:true
+      ~every_rounds:200 ~factor:0.5 t trace
+  in
+  let ta = Build.balanced n and tb = Build.balanced n in
+  let sa = run ta in
+  let sb = run ~sink:(Obskit.Sink.stream (fun _ -> ())) tb in
+  check_stats "counter reset grouped" sa sb;
+  check_trees "counter reset grouped" ta tb
+
+(* The serve path's batches run the grouped walk too: one unbounded
+   batch (every request already queued at round 0, as deep a backlog as
+   the regime's) must reproduce the reference executor. *)
+let test_grouped_serve_oracle () =
+  let n, trace = stamped ~family:"pfabric" ~n:144 ~m:2000 ~seed:11 in
+  let trace = Array.map (fun (_, src, dst) -> (0, src, dst)) trace in
+  let cfg =
+    Servekit.Server.config ~queue_capacity:4096 ~batch_max:0
+      ~check_invariants:true ~n ()
+  in
+  let ta = Build.balanced n and tb = Build.balanced n in
+  let r = Servekit.Server.replay cfg ta trace in
+  let sb = Ref.run tb trace in
+  Alcotest.(check int) "one batch" 1 r.Servekit.Server.batches;
+  check_stats "serve batch oracle" r.Servekit.Server.stats sb;
+  check_trees "serve batch oracle" ta tb
+
+let grouped_cases =
+  List.concat_map
+    (fun (family, n, m) ->
+      List.map
+        (fun (label, window) ->
+          Alcotest.test_case
+            (Printf.sprintf "%s window %s" family label)
+            `Quick
+            (test_grouped_regime ~family ~n ~m ~window))
+        [ ("1", `One); ("default", `Default); ("4n", `Four_n) ])
+    regime_traces
+  @ [
+      Alcotest.test_case "truncated finalize settles" `Quick
+        test_grouped_truncated;
+      Alcotest.test_case "release on a rotation mid-round" `Quick
+        test_grouped_release_on_rotation;
+      Alcotest.test_case "counter reset with decay" `Quick
+        test_grouped_counter_reset;
+      Alcotest.test_case "serve batch oracle" `Quick test_grouped_serve_oracle;
+    ]
+
 let pair_cases =
   List.concat_map
     (fun workload ->
@@ -431,6 +594,7 @@ let () =
       ("executor pairs", pair_cases);
       ("executor pairs untraced", untraced_cases);
       ("executor pairs empty fault plan", empty_plan_cases);
+      ("wait groups", grouped_cases);
       ("parallel executor", parallel_cases);
       ( "profiled executor",
         profiled_cases

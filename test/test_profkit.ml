@@ -220,6 +220,10 @@ let test_profile_counters () =
   P.shape_hit p;
   P.conflict p;
   P.conflict p;
+  P.conflicts_add p 3;
+  P.conflicts_add p (-1);
+  P.waits_skipped_add p 3;
+  P.waits_skipped_add p (-1);
   Alcotest.(check int) "stamp_hits" 2 (P.stamp_hits p);
   Alcotest.(check int) "stamp_misses" 1 (P.stamp_misses p);
   Alcotest.(check (float 1e-9)) "hit rate" (2.0 /. 3.0) (P.stamp_hit_rate p);
@@ -228,16 +232,19 @@ let test_profile_counters () =
   Alcotest.(check int) "seq" 1 (P.seq_slots p);
   Alcotest.(check int) "deliver" 1 (P.deliver_slots p);
   Alcotest.(check int) "shape" 1 (P.shape_hits p);
-  Alcotest.(check int) "conflicts" 2 (P.conflicts p);
+  Alcotest.(check int) "conflicts" 4 (P.conflicts p);
+  Alcotest.(check int) "waits_skipped" 2 (P.waits_skipped p);
   (* The stable export list mirrors the accessors. *)
   let l = P.counters p in
   Alcotest.(check (option int)) "list stamp_hits" (Some 2)
     (List.assoc_opt "stamp_hits" l);
   Alcotest.(check (option int)) "list replayed_slots" (Some 1)
     (List.assoc_opt "replayed_slots" l);
-  Alcotest.(check (option int)) "list claim_conflicts" (Some 2)
+  Alcotest.(check (option int)) "list claim_conflicts" (Some 4)
     (List.assoc_opt "claim_conflicts" l);
-  Alcotest.(check int) "11 counters exported" 11 (List.length l)
+  Alcotest.(check (option int)) "list waits_skipped" (Some 2)
+    (List.assoc_opt "waits_skipped" l);
+  Alcotest.(check int) "12 counters exported" 12 (List.length l)
 
 let test_profile_wave_imbalance () =
   let p = P.create () in

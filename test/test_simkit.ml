@@ -219,6 +219,37 @@ let test_engine_budget () =
     (Simkit.Engine.Budget_exhausted "scheduler stuck did not terminate")
     (fun () -> ignore (Simkit.Engine.run_exn ~max_rounds:10 sched))
 
+(* [busy_from] jumps over rounds whose ticks would do nothing: the
+   round count and the outcome stay those of ticking every round, and
+   the budget still stops a jump. *)
+let test_engine_busy_from () =
+  let work = [ 3; 4; 40; 41 ] in
+  let sched ticked =
+    let left = ref work in
+    {
+      Simkit.Engine.label = "sparse";
+      tick =
+        (fun r ->
+          ticked := r :: !ticked;
+          left := List.filter (fun w -> w <> r) !left);
+      is_done = (fun () -> !left = []);
+    }
+  in
+  let busy_from r =
+    match List.filter (fun w -> w >= r) work with [] -> r | w :: _ -> w
+  in
+  let all = ref [] and some = ref [] in
+  let o = Simkit.Engine.run (sched all) in
+  let o' = Simkit.Engine.run ~busy_from (sched some) in
+  Alcotest.(check int) "same rounds" o.Simkit.Engine.rounds o'.Simkit.Engine.rounds;
+  Alcotest.(check bool) "completed" true o'.Simkit.Engine.completed;
+  Alcotest.(check int) "every round ticked without" 42 (List.length !all);
+  Alcotest.(check (list int)) "only busy rounds ticked" [ 3; 4; 40; 41 ]
+    (List.rev !some);
+  let cut = Simkit.Engine.run ~max_rounds:20 ~busy_from (sched (ref [])) in
+  Alcotest.(check bool) "budget: not completed" false cut.Simkit.Engine.completed;
+  Alcotest.(check int) "budget: rounds" 20 cut.Simkit.Engine.rounds
+
 let qcheck_tests =
   let open QCheck2 in
   [
@@ -293,6 +324,8 @@ let () =
         [
           Alcotest.test_case "completion" `Quick test_engine_runs_to_completion;
           Alcotest.test_case "budget" `Quick test_engine_budget;
+          Alcotest.test_case "busy_from jumps idle rounds" `Quick
+            test_engine_busy_from;
         ] );
       ("properties", qcheck_tests);
     ]
