@@ -19,14 +19,15 @@ let validate t trace =
 
 let default_window t = function Some w -> w | None -> max 64 (T.n t)
 
-(* Steady-state allocation-free executor: all messages live in a
-   preallocated arena (slot index = message id, handed out in the same
-   order the list-based executor minted ids), the undelivered set is
-   an array-backed priority buffer, and every turn fills one reusable
-   plan buffer.  The rhythm of a round is unchanged — newcomers
-   admitted, the whole set visited in (birth, id) order, finished
-   messages dropped — so statistics, telemetry and the final tree are
-   bit-identical to {!Reference}. *)
+(* Steady-state allocation-free executor: the messages in flight live
+   in a recycling arena (ids handed out in the same order the
+   list-based executor minted them; a delivered message's record is
+   reused once its round ends), the undelivered set is an array-backed
+   priority buffer, and every turn fills one reusable plan buffer.
+   The rhythm of a round is unchanged — newcomers admitted, the whole
+   set visited in (birth, id) order, finished messages dropped — so
+   statistics, telemetry and the final tree are bit-identical to
+   {!Reference}. *)
 
 (* --------------------------------------------------------------
    Intra-round parallelism: the speculative plan wave.
@@ -119,12 +120,14 @@ module Prof = Profkit.Profile
 
 (* A wait group (see "Wait groups" below): the messages waiting behind
    one cached core cluster, as a priority-ordered list threaded through
-   the arena by [Message.wg_next].  Records live in a pool and are
-   recycled through a free list, so forming and dissolving groups
-   allocates nothing. *)
+   the arena by [Message.wg_next], which holds arena slots.  Members
+   are live (only heads and ungrouped messages take turns, so only
+   they are ever delivered), so their slots stay theirs across rounds.
+   Records live in a pool and are recycled through a free list, so
+   forming and dissolving groups allocates nothing. *)
 type group = {
-  mutable head : int;  (* id of the highest-priority member, or -1 when free *)
-  mutable tail : int;  (* id of the lowest-priority member *)
+  mutable head : int;  (* slot of the highest-priority member, or -1 when free *)
+  mutable tail : int;  (* slot of the lowest-priority member *)
   mutable size : int;  (* members, head included *)
   mutable pauses : int;  (* pause ticks charged to every non-head member *)
   mutable bypasses : int;  (* bypass ticks, likewise *)
@@ -184,7 +187,7 @@ type state = {
       (* fault injection (Faultkit); [None] keeps the executor on the
          plain hot path, bit-identical to pre-faultkit behaviour *)
   check : bool;  (* verify Bstnet.Check.structural after every repair *)
-  arena : Arena.t;  (* all messages ever created, by id *)
+  arena : Arena.t;  (* the messages in flight, by slot *)
   queue : M.t Simkit.Pqueue.t;  (* undelivered, in priority order *)
   plan : Step.t;  (* the reusable plan buffer *)
   mutable next_inject : int;  (* index into trace *)
@@ -199,6 +202,9 @@ type state = {
   claims : int array;
   mutable live : int;  (* undelivered messages, data + update *)
   mutable live_data : int;  (* undelivered data messages in flight *)
+  lat_on : bool;  (* record data messages' latencies as they retire *)
+  mutable lats : int array;
+      (* by id: a delivered data message's latency in rounds, or -1 *)
   mutable first_turn : bool;
       (* [check] on a fault-free run: the round's first turn is still to
          come (it belongs to the top-priority message, never blocked) *)
@@ -211,7 +217,9 @@ type state = {
          the message last seen waiting on it alone, or -1; a power of
          two, at least 2n, allocated on the run's first long queue *)
   mutable lone_round : int array;
-      (* per slot: the round its lone waiter was seen *)
+      (* per slot: the round its lone waiter was seen; the lone entry
+         is trusted only in that round, since arena slots are reused
+         between rounds *)
   mutable decided : int array;  (* groups that watch their key this round *)
   mutable ndecided : int;
   mutable promotions : int array;  (* groups whose head took over this round *)
@@ -254,11 +262,27 @@ let charge st (msg : M.t) ~bit k =
   else msg.M.pauses <- msg.M.pauses + k;
   match st.profile with None -> () | Some p -> Prof.conflicts_add p k
 
+(* Keep a delivered data message's latency, by id (requested runs only). *)
+let[@inline never] record_latency st (msg : M.t) =
+  let id = msg.M.id in
+  if id >= Array.length st.lats then begin
+    let old = st.lats in
+    (* lint: allow no-alloc -- amortized growth, latency runs only *)
+    st.lats <- Array.make (max 64 (2 * id)) (-1);
+    Array.blit old 0 st.lats 0 (Array.length old)
+  end;
+  st.lats.(id) <- msg.M.end_time - msg.M.birth
+
+(* Deliver a message: it leaves the run, and its record goes back to
+   the arena (reused once the round ends). *)
 let finish st (msg : M.t) =
   msg.M.delivered <- true;
   msg.M.end_time <- st.cur_round;
   st.live <- st.live - 1;
-  if M.is_data msg then st.live_data <- st.live_data - 1;
+  if M.is_data msg then begin
+    st.live_data <- st.live_data - 1;
+    if st.lat_on then record_latency st msg
+  end;
   if Obskit.Sink.enabled st.sink then
     (* lint: allow no-alloc -- closure built only when tracing is on *)
     Obskit.Sink.record st.sink (fun () ->
@@ -270,7 +294,8 @@ let finish st (msg : M.t) =
             birth = msg.M.birth;
             hops = msg.M.hops;
             rotations = msg.M.rotations;
-          })
+          });
+  Arena.retire st.arena msg
 
 (* The spawn callback shared by all protocol entry points: the update
    message becomes active in the next round.  It inherits its parent's
@@ -293,12 +318,14 @@ let key_slots t =
   done;
   !slots
 
+(* The arena's starting size; it doubles up to the run's peak number
+   of messages held in one round. *)
+let arena_start = 16
+
 let create config ~window ~sink ~profile ~prof_sink ~team_sink ~faults ~check
-    ~grouping t trace =
+    ~grouping ~latencies t trace =
   validate t trace;
   if window < 1 then invalid_arg "Concurrent.run: window must be >= 1";
-  (* Exactly one update per data message, so the arena never grows
-     (fault-injected duplicates take the amortized growth path). *)
   let capacity = max 16 (2 * Array.length trace) in
   let dummy = M.data ~id:(-1) ~src:0 ~dst:0 ~birth:0 in
   let st =
@@ -312,7 +339,7 @@ let create config ~window ~sink ~profile ~prof_sink ~team_sink ~faults ~check
       prof_sink;
       faults;
       check;
-      arena = Arena.create ~capacity;
+      arena = Arena.create ~capacity:arena_start;
       queue =
         Simkit.Pqueue.create
           ~capacity:(min capacity (4 * window))
@@ -325,6 +352,8 @@ let create config ~window ~sink ~profile ~prof_sink ~team_sink ~faults ~check
       claims = Array.make (T.n t) (-2);
       live = 0;
       live_data = 0;
+      lat_on = latencies;
+      lats = [||];
       first_turn = false;
       grouping;
       groups = [||];
@@ -418,7 +447,7 @@ let inject st ~round =
    turns. *)
 
 (* lint: hot *)
-let member st id = Arena.get st.arena id
+let member st slot = Arena.get st.arena slot
 let prio_lt (a : M.t) (b : M.t) = M.priority_compare a b < 0
 
 (* Priority [(birth, id)] strictly above message [m]'s. *)
@@ -446,9 +475,9 @@ let key_slot st (m : M.t) =
   in
   h land (Array.length st.owner - 1)
 
-(* A lone waiter's id, encoded in [owner] below -1. *)
-let lone (m : M.t) = -2 - m.M.id
-let lone_id o = -2 - o
+(* A lone waiter's slot, encoded in [owner] below -1. *)
+let lone (m : M.t) = -2 - m.M.slot
+let lone_slot o = -2 - o
 
 (* A member's own counters lag the group's ticks while it waits: it
    joins with the ticks subtracted and leaves with them added back. *)
@@ -518,7 +547,7 @@ let release_below st gi ~round ~birth ~id =
     while !cur >= 0 do
       let m = member st !cur in
       cur := m.M.wg_next;
-      if m.M.id <> g.head then catch_up g m;
+      if m.M.slot <> g.head then catch_up g m;
       if g.round = round then begin
         charge st m ~bit:g.bit (-1);
         match st.profile with
@@ -824,8 +853,8 @@ let create_group st ~round ~slot (m : M.t) =
   g.v0 <- m.M.shape_v0;
   g.v1 <- m.M.shape_v1;
   g.v2 <- m.M.shape_v2;
-  g.head <- m.M.id;
-  g.tail <- m.M.id;
+  g.head <- m.M.slot;
+  g.tail <- m.M.slot;
   g.size <- 1;
   g.pauses <- 0;
   g.bypasses <- 0;
@@ -841,9 +870,9 @@ let insert_member st gi (m : M.t) =
   g.size <- g.size + 1;
   let last = member st g.tail in
   if prio_lt last m then begin
-    last.M.wg_next <- m.M.id;
+    last.M.wg_next <- m.M.slot;
     m.M.wg_next <- -1;
-    g.tail <- m.M.id
+    g.tail <- m.M.slot
   end
   else begin
     let p = ref (member st g.head) in
@@ -853,7 +882,7 @@ let insert_member st gi (m : M.t) =
       p := member st !p.M.wg_next
     done;
     m.M.wg_next <- !p.M.wg_next;
-    !p.M.wg_next <- m.M.id
+    !p.M.wg_next <- m.M.slot
   end
 
 (* The head [x] leaves; the next member, blocked this round with the
@@ -891,11 +920,11 @@ let same_key (a : M.t) (b : M.t) =
   && a.M.shape_v0 = b.M.shape_v0 && a.M.shape_v1 = b.M.shape_v1
   && (a.M.shape_c2 = T.nil || a.M.shape_v2 = b.M.shape_v2)
 
-(* The lone waiter [w], seen blocked earlier in this round, still waits
-   on [x]'s key and outranks it. *)
+(* The lone waiter in slot [w], seen blocked earlier in this round,
+   still waits on [x]'s key and outranks it. *)
 let pairs st w (x : M.t) =
   let h = member st w in
-  w <> x.M.id && (not h.M.delivered) && h.M.wg_next = M.no_group
+  w <> x.M.slot && (not h.M.delivered) && h.M.wg_next = M.no_group
   && same_key h x && prio_lt h x
 
 (* After a real turn of an ungrouped message [x]: if it is blocked
@@ -929,9 +958,9 @@ let[@inline never] attach st ~round (x : M.t) =
       end
       else true
     end
-    else if o < -1 && st.lone_round.(slot) = round && pairs st (lone_id o) x
+    else if o < -1 && st.lone_round.(slot) = round && pairs st (lone_slot o) x
     then begin
-      create_group st ~round ~slot (member st (lone_id o));
+      create_group st ~round ~slot (member st (lone_slot o));
       insert_member st st.owner.(slot) x;
       false
     end
@@ -1020,7 +1049,7 @@ let check_groups st ~round =
           if not (key_matches g m) then fail gi "member cache differs from key";
           if !count > 0 && not (prio_lt !prev m) then fail gi "list out of order";
           if m.M.delivered then fail gi "delivered member";
-          if m.M.wg_next < 0 && m.M.id <> g.tail then fail gi "wrong tail";
+          if m.M.wg_next < 0 && m.M.slot <> g.tail then fail gi "wrong tail";
           incr count;
           prev := m;
           cur := m.M.wg_next
@@ -1556,6 +1585,10 @@ let tick st round =
       if not st.grouping then seq_visit st ~round ~traced
       else if Simkit.Pqueue.length st.queue > 0 then grouped_visit st ~round);
   prof st Prof.Other;
+  (* The visit has dropped this round's delivered messages from the
+     queue, the release buffer and the wait groups: their slots are
+     free for the next round. *)
+  Arena.recycle st.arena;
   (* Φ is O(n) to compute, so it is sampled only on traced runs. *)
   if traced then
     (* lint: allow no-alloc -- closure built only when tracing is on *)
@@ -1580,7 +1613,7 @@ let dissolve_groups st =
         while !cur >= 0 do
           let m = member st !cur in
           cur := m.M.wg_next;
-          if m.M.id <> g.head then begin
+          if m.M.slot <> g.head then begin
             catch_up g m;
             Simkit.Pqueue.stage st.queue m
           end;
@@ -1599,7 +1632,8 @@ let shutdown st =
 
 let make ?(config = Config.default) ?window ?(sink = Obskit.Sink.null)
     ?profile ?(prof_sink = Obskit.Sink.null) ?(team_sink = Obskit.Sink.null)
-    ?faults ?(check_invariants = false) ?(domains = 1) t trace =
+    ?faults ?(check_invariants = false) ?(domains = 1) ?(latencies = false) t
+    trace =
   if domains < 1 then invalid_arg "Concurrent.run: domains must be >= 1";
   let window = default_window t window in
   let injector =
@@ -1612,7 +1646,7 @@ let make ?(config = Config.default) ?window ?(sink = Obskit.Sink.null)
   in
   let st =
     create config ~window ~sink ~profile ~prof_sink ~team_sink ~faults:injector
-      ~check:check_invariants ~grouping t trace
+      ~check:check_invariants ~grouping ~latencies t trace
   in
   if domains > 1 then begin
     st.team <- Some (Simkit.Team.create ~members:domains ());
@@ -1647,7 +1681,12 @@ let make ?(config = Config.default) ?window ?(sink = Obskit.Sink.null)
     if check_invariants then Bstnet.Check.assert_ok (Bstnet.Check.structural st.t);
     (* Waiting members' counters lag their groups' ticks. *)
     dissolve_groups st;
-    Run_stats.of_iter ~chaos ~config ~rounds (fun f -> Arena.iter st.arena f)
+    (match st.profile with
+    | None -> ()
+    | Some p ->
+        Prof.slab p ~peak:(Arena.peak st.arena)
+          ~capacity:(Arena.capacity st.arena));
+    Arena.stats ~chaos ~config ~rounds st.arena
   in
   (st, sched, finalize)
 
@@ -1692,19 +1731,15 @@ let run_with_latencies ?config ?window ?max_rounds ?sink ?profile ?prof_sink
     ?team_sink ?faults ?check_invariants ?domains t trace =
   let st, sched, finalize =
     make ?config ?window ?sink ?profile ?prof_sink ?team_sink ?faults
-      ?check_invariants ?domains t trace
+      ?check_invariants ?domains ~latencies:true t trace
   in
   let stats = finalize (drive ?max_rounds st sched) in
-  let count = ref 0 in
-  Arena.iter st.arena (fun m ->
-      if M.is_data m && m.M.delivered then incr count);
-  let latencies = Array.make !count 0.0 in
-  let i = ref 0 in
-  Arena.iter st.arena (fun m ->
-      if M.is_data m && m.M.delivered then begin
-        latencies.(!i) <- float_of_int (m.M.end_time - m.M.birth);
-        incr i
-      end);
+  (* Recorded by id as data messages retired; every other entry is -1. *)
+  let latencies =
+    Array.to_seq st.lats
+    |> Seq.filter_map (fun l -> if l >= 0 then Some (float_of_int l) else None)
+    |> Array.of_seq
+  in
   (stats, latencies)
 
 (* The original list-based executor, kept verbatim as an executable
@@ -1904,7 +1939,11 @@ module Reference = struct
       }
     in
     let finalize rounds =
-      Run_stats.of_messages ~config ~rounds (st.finished @ st.active)
+      (* Updates spawned in the last round executed have not joined
+         [active] yet, but they exist (their first increment is in the
+         tree) and count like every other message created. *)
+      Run_stats.of_messages ~config ~rounds
+        (st.finished @ st.active @ st.spawned)
     in
     (st, sched, finalize)
 

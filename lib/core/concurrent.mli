@@ -14,10 +14,12 @@
     locked for the lifetime of a request: nodes are only ever claimed
     for the single round in which a step touches them.
 
-    The executor is allocation-free in steady state: messages live in
-    a preallocated {!Arena}, the undelivered set is an array-backed
-    {!Simkit.Pqueue}, and step planning fills one reusable
-    {!Step.buffer}.  {!Reference} keeps the original list-based round
+    The executor is allocation-free in steady state: the messages in
+    flight live in a recycling {!Arena} (a delivered message's record
+    is reused once its round ends, so memory follows the number of
+    messages in flight, not the trace length), the undelivered set is
+    an array-backed {!Simkit.Pqueue}, and step planning fills one
+    reusable {!Step.buffer}.  {!Reference} keeps the original list-based round
     loop as an executable specification; the two produce bit-identical
     statistics, telemetry payloads and final trees.
 
@@ -125,10 +127,13 @@ val run_with_latencies :
   Bstnet.Topology.t ->
   (int * int * int) array ->
   Run_stats.t * float array
-(** Like {!run}, additionally returning each data message's delivery
+(** Like {!run}, additionally returning each delivered data message's
     latency (rounds from birth to delivery, source queueing included)
-    for distribution analyses.  Latencies are in message-id (creation)
-    order; distribution consumers sort or summarize anyway. *)
+    for distribution analyses.  Each latency is recorded as its
+    message is delivered and retired; they are returned in message-id
+    (creation) order.  On a fault-free run to completion that is trace
+    order, so entry [i] belongs to request [i] — the forest relies on this to
+    match a shard's legs to its sub-trace. *)
 
 val scheduler :
   ?config:Config.t ->
@@ -145,8 +150,9 @@ val scheduler :
   Simkit.Engine.scheduler * (int -> Run_stats.t)
 (** Lower-level access for embedding in a larger simulation: returns
     the engine scheduler plus a finalizer producing the statistics
-    given the executed round count.  The finalizer folds over {e all}
-    messages created so far (delivered or not), so it is meaningful
+    given the executed round count.  The finalizer adds the messages
+    still in flight to the totals folded in as messages were delivered,
+    so it covers {e all} messages created so far and is meaningful
     after a truncated embedding too.  With [domains > 1] the finalizer
     also joins and shuts the plan-wave team down, so it must be called
     even on a truncated embedding (or the domains leak until exit). *)

@@ -2,7 +2,8 @@ type kind = Data | Weight_update
 type phase = Climbing | Descending
 
 type t = {
-  id : int;
+  slot : int;
+  mutable id : int;
   mutable kind : kind;
   mutable src : int;
   mutable dst : int;
@@ -13,7 +14,7 @@ type t = {
   mutable update_spawned : bool;
   mutable delivered : bool;
   (* Wait-group link for the concurrent executor's grouped visit:
-     next member's id, -1 at the tail, no_group outside groups.  Next
+     next member's arena slot, -1 at the tail, no_group outside groups.  Next
      to [delivered], which every turn reads too. *)
   mutable wg_next : int;
   mutable end_time : int;
@@ -42,8 +43,9 @@ type t = {
 let shape_none = -2
 let no_group = -2
 
-let make ~id ~kind ~src ~dst ~birth =
+let make ~slot ~id ~kind ~src ~dst ~birth =
   {
+    slot;
     id;
     kind;
     src;
@@ -71,7 +73,8 @@ let make ~id ~kind ~src ~dst ~birth =
     wg_next = no_group;
   }
 
-let reinit m ~kind ~src ~dst ~birth =
+let reinit m ~id ~kind ~src ~dst ~birth =
+  m.id <- id;
   m.kind <- kind;
   m.src <- src;
   m.dst <- dst;
@@ -91,10 +94,18 @@ let reinit m ~kind ~src ~dst ~birth =
   m.shape_c0 <- shape_none;
   m.wg_next <- no_group
 
-let data ~id ~src ~dst ~birth = make ~id ~kind:Data ~src ~dst ~birth
+(* Records outside an arena have slot -1. *)
+let data ~id ~src ~dst ~birth = make ~slot:(-1) ~id ~kind:Data ~src ~dst ~birth
 
 let weight_update ~id ~origin ~birth =
-  make ~id ~kind:Weight_update ~src:origin ~dst:Bstnet.Topology.nil ~birth
+  make ~slot:(-1) ~id ~kind:Weight_update ~src:origin ~dst:Bstnet.Topology.nil
+    ~birth
+
+(* A free arena slot: delivered, so no live-message scan counts it. *)
+let blank ~slot =
+  let m = make ~slot ~id:(-1) ~kind:Data ~src:0 ~dst:0 ~birth:0 in
+  m.delivered <- true;
+  m
 
 let is_data m = match m.kind with Data -> true | Weight_update -> false
 let is_update m = match m.kind with Weight_update -> true | Data -> false

@@ -13,7 +13,18 @@ type phase =
   | Descending  (** Past the LCA, heading for the destination. *)
 
 type t = {
-  id : int;  (** Unique; breaks priority ties deterministically. *)
+  slot : int;
+      (** The record's index in its {!Arena}, fixed for the record's
+          lifetime; [-1] for a record built by {!data} or
+          {!weight_update}.  An arena hands a retired record out again,
+          so a slot names different messages over a run — only within
+          one round does it name one message. *)
+  mutable id : int;
+      (** Unique over a run, assigned at allocation from a monotonic
+          counter; breaks priority ties deterministically.  Mutable
+          only so that {!reinit} can give a reused record its new
+          message's id; once a message is in flight it never
+          changes. *)
   mutable kind : kind;
   mutable src : int;
   mutable dst : int;
@@ -32,8 +43,8 @@ type t = {
   mutable delivered : bool;
   mutable wg_next : int;
       (** Wait-group link owned by [Concurrent]'s grouped round walk
-          (docs/PERFORMANCE.md, "Wait groups"): the id of the next
-          member in the priority-ordered list of the group this message
+          (docs/PERFORMANCE.md, "Wait groups"): the arena slot of the
+          next member in the priority-ordered list of the group this message
           waits in, [-1] at the list's tail, {!no_group} when the
           message is in no group.  While a message waits behind its
           group's head, [pauses] and [bypasses] hold its own counts
@@ -78,11 +89,16 @@ val no_group : int
 val data : id:int -> src:int -> dst:int -> birth:int -> t
 val weight_update : id:int -> origin:int -> birth:int -> t
 
-val reinit : t -> kind:kind -> src:int -> dst:int -> birth:int -> unit
-(** Reset a record to the state [data]/[weight_update] would build
-    (keeping its [id]), for preallocated-slot reuse in {!Arena}.  The
-    identity fields are mutable only to support this; once a message
-    is in flight they must not change. *)
+val blank : slot:int -> t
+(** A free arena record for [slot]: [delivered] is set, so a scan for
+    live messages skips it until {!reinit} hands it out. *)
+
+val reinit :
+  t -> id:int -> kind:kind -> src:int -> dst:int -> birth:int -> unit
+(** Reset a record to the state [data]/[weight_update] would build,
+    with the given [id] and its own [slot], for slot reuse in
+    {!Arena}.  The identity fields are mutable only to support this;
+    once a message is in flight they must not change. *)
 
 val is_data : t -> bool
 val is_update : t -> bool

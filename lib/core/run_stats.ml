@@ -39,48 +39,77 @@ type t = {
   chaos : chaos;
 }
 
-let of_iter ?(chaos = no_chaos) ~config ~rounds iter =
-  let messages = ref 0 in
-  let hops = ref 0 in
-  let rotations = ref 0 in
-  let steps = ref 0 in
-  let pauses = ref 0 in
-  let bypasses = ref 0 in
-  let updates = ref 0 in
-  let first_birth = ref max_int in
-  let last_end = ref 0 in
-  iter (fun (m : Message.t) ->
-      hops := !hops + m.hops;
-      rotations := !rotations + m.rotations;
-      steps := !steps + m.steps;
-      pauses := !pauses + m.pauses;
-      bypasses := !bypasses + m.bypasses;
-      match m.kind with
-      | Message.Data ->
-          incr messages;
-          if m.birth < !first_birth then first_birth := m.birth;
-          if m.end_time > !last_end then last_end := m.end_time
-      | Message.Weight_update -> incr updates);
-  let routing_cost = !hops + !messages in
-  let makespan = if !messages = 0 then 0 else max 1 (!last_end - !first_birth) in
+type acc = {
+  mutable a_messages : int;
+  mutable a_hops : int;
+  mutable a_rotations : int;
+  mutable a_steps : int;
+  mutable a_pauses : int;
+  mutable a_bypasses : int;
+  mutable a_updates : int;
+  mutable a_first_birth : int;
+  mutable a_last_end : int;
+}
+
+let acc () =
   {
-    messages = !messages;
-    routing_hops = !hops;
+    a_messages = 0;
+    a_hops = 0;
+    a_rotations = 0;
+    a_steps = 0;
+    a_pauses = 0;
+    a_bypasses = 0;
+    a_updates = 0;
+    a_first_birth = max_int;
+    a_last_end = 0;
+  }
+
+let copy a = { a with a_messages = a.a_messages }
+
+(* lint: hot *)
+let add a (m : Message.t) =
+  a.a_hops <- a.a_hops + m.hops;
+  a.a_rotations <- a.a_rotations + m.rotations;
+  a.a_steps <- a.a_steps + m.steps;
+  a.a_pauses <- a.a_pauses + m.pauses;
+  a.a_bypasses <- a.a_bypasses + m.bypasses;
+  match m.kind with
+  | Message.Data ->
+      a.a_messages <- a.a_messages + 1;
+      if m.birth < a.a_first_birth then a.a_first_birth <- m.birth;
+      if m.end_time > a.a_last_end then a.a_last_end <- m.end_time
+  | Message.Weight_update -> a.a_updates <- a.a_updates + 1
+(* lint: hot-end *)
+
+let build ?(chaos = no_chaos) ~config ~rounds a =
+  let messages = a.a_messages in
+  let routing_cost = a.a_hops + messages in
+  let makespan =
+    if messages = 0 then 0 else max 1 (a.a_last_end - a.a_first_birth)
+  in
+  {
+    messages;
+    routing_hops = a.a_hops;
     routing_cost;
-    rotations = !rotations;
+    rotations = a.a_rotations;
     work =
       float_of_int routing_cost
-      +. (config.Config.rotation_cost *. float_of_int !rotations);
+      +. (config.Config.rotation_cost *. float_of_int a.a_rotations);
     makespan;
     throughput =
-      (if !messages = 0 then 0.0 else float_of_int !messages /. float_of_int makespan);
-    steps = !steps;
-    pauses = !pauses;
-    bypasses = !bypasses;
-    update_messages = !updates;
+      (if messages = 0 then 0.0 else float_of_int messages /. float_of_int makespan);
+    steps = a.a_steps;
+    pauses = a.a_pauses;
+    bypasses = a.a_bypasses;
+    update_messages = a.a_updates;
     rounds;
     chaos;
   }
+
+let of_iter ?chaos ~config ~rounds iter =
+  let a = acc () in
+  iter (add a);
+  build ?chaos ~config ~rounds a
 
 let of_messages ?chaos ~config ~rounds msgs =
   of_iter ?chaos ~config ~rounds (fun f -> List.iter f msgs)

@@ -37,18 +37,35 @@ type t = {
   chaos : chaos;  (** Fault-injection tallies; {!no_chaos} without faults. *)
 }
 
+type acc
+(** A running fold of messages into the aggregate: the one place the
+    formulae below are computed.  Every accumulation is
+    order-independent, so any visit order produces the same result. *)
+
+val acc : unit -> acc
+(** The empty fold. *)
+
+val add : acc -> Message.t -> unit
+(** Fold one message in, as it stands.  Data messages contribute to
+    [routing_cost]'s +1 term and to the makespan (an undelivered one
+    through its birth only); update messages contribute hops and
+    rotations only.  Allocates nothing. *)
+
+val copy : acc -> acc
+(** An independent copy, so a caller can fold further messages in
+    without disturbing the original. *)
+
+val build : ?chaos:chaos -> config:Config.t -> rounds:int -> acc -> t
+(** The aggregate of the messages folded so far. *)
+
 val of_iter :
   ?chaos:chaos ->
   config:Config.t ->
   rounds:int ->
   ((Message.t -> unit) -> unit) ->
   t
-(** Fold delivered messages into the aggregate, visiting them through
-    the given iterator (e.g. {!Arena.iter} partially applied) — every
-    accumulation is order-independent, so any visit order produces the
-    same result.  Data messages contribute to [routing_cost]'s +1 term
-    and to the makespan; update messages contribute hops and rotations
-    only. *)
+(** {!build} over a fresh {!acc} fed every message the given iterator
+    visits. *)
 
 val of_messages :
   ?chaos:chaos -> config:Config.t -> rounds:int -> Message.t list -> t

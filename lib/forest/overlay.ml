@@ -10,7 +10,7 @@ type result = {
 }
 
 (* Fold the per-shard statistics into one Run_stats.t on the global
-   clock.  The arithmetic mirrors Run_stats.of_iter exactly, so a
+   clock.  The arithmetic mirrors Run_stats.build exactly, so a
    1-shard forest (cross = 0) reproduces the single-tree statistics
    bit for bit. *)
 let combine ~config ~cross per_shard first_births =

@@ -77,6 +77,8 @@ type t = {
   mutable waves : int;
   mutable wave_slots : int;
   mutable wave_members : int;
+  mutable slab_peak : int;
+  mutable slab_capacity : int;
 }
 
 let create () =
@@ -98,6 +100,8 @@ let create () =
     waves = 0;
     wave_slots = 0;
     wave_members = 0;
+    slab_peak = 0;
+    slab_capacity = 0;
   }
 
 (* lint: allow no-alloc -- Clock.now_us returns a C-stub float whose box
@@ -164,6 +168,10 @@ let wave t ~members ~busiest ~slots =
     if imb > t.fs.(f_imb_max) then t.fs.(f_imb_max) <- imb
   end
 
+let slab t ~peak ~capacity =
+  t.slab_peak <- max t.slab_peak peak;
+  t.slab_capacity <- max t.slab_capacity capacity
+
 (* Accessors *)
 let rounds t = t.rounds
 let wall_us t = t.fs.(f_wall)
@@ -182,6 +190,8 @@ let waits_skipped t = t.waits_skipped
 let waves t = t.waves
 let wave_slots t = t.wave_slots
 let wave_members t = t.wave_members
+let slab_peak t = t.slab_peak
+let slab_capacity t = t.slab_capacity
 
 let stamp_hit_rate t =
   let total = t.stamp_hits + t.stamp_misses in

@@ -107,6 +107,11 @@ val wave : t -> members:int -> busiest:int -> slots:int -> unit
     Feeds the imbalance statistics ([busiest * members / slots]; 1.0 =
     perfectly balanced, [members] = fully serialized). *)
 
+val slab : t -> peak:int -> capacity:int -> unit
+(** A finished run's message arena: [peak] records held at once and
+    [capacity] records allocated ([Cbnet.Arena.peak]/[capacity]).
+    Gauges, not counters: each keeps the largest value noted. *)
+
 (** {2 Accessors (export side)} *)
 
 val rounds : t -> int
@@ -136,6 +141,8 @@ val waits_skipped : t -> int
 val waves : t -> int
 val wave_slots : t -> int
 val wave_members : t -> int
+val slab_peak : t -> int
+val slab_capacity : t -> int
 
 val avg_imbalance : t -> float
 (** Mean per-wave busiest-member imbalance; 0 when no wave ran. *)

@@ -501,6 +501,210 @@ let test_grouped_serve_oracle () =
   check_stats "serve batch oracle" r.Servekit.Server.stats sb;
   check_trees "serve batch oracle" ta tb
 
+(* ------------------------------------------------------------------
+   Latency order and the recycling arena.  A delivered message's
+   record is reused once its round ends, so latencies are recorded as
+   messages retire and the statistics are folded from retired totals
+   plus the messages still live at finalize.  These cases pin the
+   latency order against the traced delivery stream and run the
+   executor's cut-off paths against the reference executor. *)
+
+(* The data messages' latencies rebuilt from a traced run's
+   Msg_delivered events, in message-id order, with their births. *)
+let traced_deliveries run =
+  let acc = ref [] in
+  let sink =
+    Obskit.Sink.stream (fun (e : Obskit.Event.t) ->
+        match e.Obskit.Event.payload with
+        | Obskit.Event.Msg_delivered { round; msg; data = true; birth; _ } ->
+            acc := (msg, birth, round - birth) :: !acc
+        | _ -> ())
+  in
+  let result = run sink in
+  let sorted = List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) !acc in
+  (result, Array.of_list sorted)
+
+let latencies_of deliveries =
+  Array.map (fun (_, _, l) -> float_of_int l) deliveries
+
+let check_latency_order ?faults ?window ~family ~n ~m () =
+  let n, trace = stamped ~family ~n ~m ~seed:9 in
+  let ctx =
+    Printf.sprintf "latency order %s window %s%s" family
+      (match window with None -> "default" | Some w -> string_of_int w)
+      (match faults with None -> "" | Some _ -> " faults")
+  in
+  let ta = Build.balanced n and tb = Build.balanced n in
+  let sa, la = Conc.run_with_latencies ?faults ?window ta trace in
+  let sb, delivered =
+    traced_deliveries (fun sink -> Conc.run ?faults ?window ~sink tb trace)
+  in
+  check_stats ctx sa sb;
+  Alcotest.(check (array (float 0.0)))
+    (ctx ^ ": latencies in id order") (latencies_of delivered) la;
+  (match faults with
+  | Some _ -> ()
+  | None ->
+      (* Fault-free, data ids follow the trace: entry i is request i. *)
+      Alcotest.(check (array int))
+        (ctx ^ ": births in trace order")
+        (Array.map (fun (b, _, _) -> b) trace)
+        (Array.map (fun (_, b, _) -> b) delivered));
+  sa
+
+let test_latency_order_faults () =
+  let faults =
+    Faultkit.Plan.make ~seed:17
+      [ Faultkit.Plan.duplicate ~rate:0.05; Faultkit.Plan.lose ~rate:0.05 ]
+  in
+  let sa = check_latency_order ~faults ~family:"pfabric" ~n:144 ~m:1500 () in
+  Alcotest.(check bool) "duplications and losses fired" true
+    (sa.Stats.chaos.Stats.duplicated > 0 && sa.Stats.chaos.Stats.lost > 0)
+
+(* Shard s's leg i belongs to entry i of its sub-trace: the latencies
+   the overlay returns match each shard's traced delivery stream, whose
+   data messages carry the sub-trace's births in order. *)
+let test_forest_latency_order () =
+  let n, trace = stamped ~family:"hpc" ~n:1024 ~m:4000 ~seed:9 in
+  let shards = 16 in
+  let r, lats =
+    Forest.Overlay.run_with_latencies ~domains:2 ~shards ~n trace
+  in
+  let router = Forest.Router.build r.Forest.Overlay.directory trace in
+  Array.iteri
+    (fun s sub ->
+      let ctx = Printf.sprintf "forest shard %d" s in
+      let t = Build.balanced (Forest.Directory.size r.Forest.Overlay.directory s) in
+      let stats, delivered = traced_deliveries (fun sink -> Conc.run ~sink t sub) in
+      check_stats ctx stats r.Forest.Overlay.per_shard.(s);
+      Alcotest.(check (array int))
+        (ctx ^ ": leg i is sub-trace entry i")
+        (Array.map (fun (b, _, _) -> b) sub)
+        (Array.map (fun (_, b, _) -> b) delivered);
+      Alcotest.(check (array (float 0.0)))
+        (ctx ^ ": latencies") (latencies_of delivered) lats.(s))
+    router.Forest.Router.runs
+
+(* A long run holds only its messages in flight.  The records a round
+   needs are the messages live at its end plus those delivered during
+   it (a retired slot is reused only once its round ends); the traced
+   stream gives both, and the arena's high-water mark must be exactly
+   their peak, with the slab at most twice that. *)
+let test_slab_bound () =
+  let n, trace = stamped ~family:"pfabric" ~n:144 ~m:50_000 ~seed:13 in
+  let window = 64 in
+  let profile = Profkit.Profile.create () in
+  let sa = Conc.run ~window ~profile (Build.balanced n) trace in
+  let delivered = Hashtbl.create 1024 and active = Hashtbl.create 1024 in
+  let last_round = ref 0 in
+  let sink =
+    Obskit.Sink.stream (fun (e : Obskit.Event.t) ->
+        match e.Obskit.Event.payload with
+        | Obskit.Event.Round_begin { round; active = a; _ } ->
+            Hashtbl.replace active round a;
+            last_round := round
+        | Obskit.Event.Msg_delivered { round; _ } ->
+            Hashtbl.replace delivered round
+              (1 + Option.value ~default:0 (Hashtbl.find_opt delivered round))
+        | _ -> ())
+  in
+  let sb = Conc.run ~window ~sink (Build.balanced n) trace in
+  check_stats "slab bound" sa sb;
+  let held = ref 0 in
+  for r = 0 to !last_round do
+    let live_after = Option.value ~default:0 (Hashtbl.find_opt active (r + 1)) in
+    let d = Option.value ~default:0 (Hashtbl.find_opt delivered r) in
+    held := max !held (live_after + d)
+  done;
+  let peak = Profkit.Profile.slab_peak profile in
+  let cap = Profkit.Profile.slab_capacity profile in
+  Alcotest.(check int) "slab high-water = peak records held in a round" !held peak;
+  Alcotest.(check bool)
+    (Printf.sprintf "slab %d within twice its peak %d" cap peak)
+    true
+    (cap < 2 * peak);
+  Alcotest.(check bool)
+    (Printf.sprintf "slab %d far below the trace's %d messages" cap
+       (Array.length trace))
+    true
+    (cap * 50 < Array.length trace)
+
+(* Cut-off runs finalize with live messages still in the slab: their
+   counters join the retired totals, as the reference counts them. *)
+let test_truncated_max_rounds () =
+  let n, trace = stamped ~family:"hpc" ~n:1024 ~m:2500 ~seed:3 in
+  let max_rounds = 2000 in
+  let ta = Build.balanced n and tb = Build.balanced n in
+  let sched_a, fin_a = Conc.scheduler ~check_invariants:true ta trace in
+  let sched_b, fin_b = Ref.scheduler tb trace in
+  let oa = Simkit.Engine.run ~max_rounds sched_a in
+  let ob = Simkit.Engine.run ~max_rounds sched_b in
+  Alcotest.(check bool) "cut off with messages in flight" false
+    (oa.Simkit.Engine.completed || ob.Simkit.Engine.completed);
+  check_stats "max_rounds cut-off" (fin_a oa.Simkit.Engine.rounds)
+    (fin_b ob.Simkit.Engine.rounds);
+  check_trees "max_rounds cut-off" ta tb
+
+(* Counter_reset's loop (a decay every 200 rounds) over the grouped
+   executor and the reference, cut off before the run drains. *)
+let test_counter_reset_cut_off () =
+  let n, trace = stamped ~family:"bursty" ~n:256 ~m:2500 ~seed:5 in
+  let ta = Build.balanced n and tb = Build.balanced n in
+  let sched_a, fin_a = Conc.scheduler ~check_invariants:true ta trace in
+  let sched_b, fin_b = Ref.scheduler tb trace in
+  let rounds = 3000 in
+  for r = 0 to rounds - 1 do
+    sched_a.Simkit.Engine.tick r;
+    sched_b.Simkit.Engine.tick r;
+    if (r + 1) mod 200 = 0 then begin
+      Cbnet.Counter_reset.decay ta ~factor:0.5;
+      Cbnet.Counter_reset.decay tb ~factor:0.5
+    end
+  done;
+  Alcotest.(check bool) "messages still in flight" false
+    (sched_a.Simkit.Engine.is_done ());
+  check_stats "counter reset cut-off" (fin_a rounds) (fin_b rounds);
+  check_trees "counter reset cut-off" ta tb
+
+let test_wave_truncated () =
+  let n, trace = stamped ~family:"pfabric" ~n:144 ~m:2500 ~seed:3 in
+  let ta = Build.balanced n and tb = Build.balanced n in
+  let sched_a, fin_a = Conc.scheduler ~domains:2 ta trace in
+  let sched_b, fin_b = Ref.scheduler tb trace in
+  let rounds = 1500 in
+  for r = 0 to rounds - 1 do
+    sched_a.Simkit.Engine.tick r;
+    sched_b.Simkit.Engine.tick r
+  done;
+  Alcotest.(check bool) "messages still in flight" false
+    (sched_a.Simkit.Engine.is_done ());
+  check_stats "wave cut-off" (fin_a rounds) (fin_b rounds);
+  check_trees "wave cut-off" ta tb
+
+let arena_cases =
+  List.concat_map
+    (fun (family, n, m) ->
+      List.map
+        (fun (label, window) ->
+          Alcotest.test_case
+            (Printf.sprintf "latency order %s window %s" family label)
+            `Quick
+            (fun () -> ignore (check_latency_order ?window ~family ~n ~m ())))
+        [ ("1", Some 1); ("default", None) ])
+    [ ("pfabric", 144, 2500); ("hpc", 1024, 2500) ]
+  @ [
+      Alcotest.test_case "latency order under faults" `Quick
+        test_latency_order_faults;
+      Alcotest.test_case "forest legs in sub-trace order" `Quick
+        test_forest_latency_order;
+      Alcotest.test_case "slab bounded by messages in flight" `Quick
+        test_slab_bound;
+      Alcotest.test_case "max_rounds cut-off" `Quick test_truncated_max_rounds;
+      Alcotest.test_case "counter reset cut-off" `Quick
+        test_counter_reset_cut_off;
+      Alcotest.test_case "wave cut-off at domains 2" `Quick test_wave_truncated;
+    ]
+
 let grouped_cases =
   List.concat_map
     (fun (family, n, m) ->
@@ -595,6 +799,7 @@ let () =
       ("executor pairs untraced", untraced_cases);
       ("executor pairs empty fault plan", empty_plan_cases);
       ("wait groups", grouped_cases);
+      ("recycling arena", arena_cases);
       ("parallel executor", parallel_cases);
       ( "profiled executor",
         profiled_cases
